@@ -164,9 +164,10 @@ void walk_tree(const FrameNode* node, std::string& path, Fn&& fn) {
   }
 }
 
-/// Aggregates one counter over the tree, keyed by path text. Two sibling
-/// nodes can share a name (duplicate string literals across TUs, or a
-/// benign concurrent-insert race), so exports merge by path.
+/// Aggregates one counter over the tree, keyed by path text. Frames are
+/// keyed by literal address, so the same literal text at distinct addresses
+/// (one copy per TU) yields sibling nodes sharing a name; exports merge them
+/// by path.
 template <typename Get>
 std::map<std::string, std::uint64_t> collect_by_path(const FrameNode* root,
                                                      Get&& get) {
@@ -286,19 +287,33 @@ void Profiler::delete_children(FrameNode* node) {
 }
 
 FrameNode* Profiler::descend(FrameNode* parent, const char* name) {
-  for (FrameNode* c = parent->first_child.load(std::memory_order_acquire);
-       c != nullptr; c = c->next_sibling) {
+  // The list only grows at its head and nodes are never unlinked mid-session,
+  // so after a failed CAS only the siblings between the new head and the head
+  // last scanned (`scanned`) can hold `name`.
+  FrameNode* const first = parent->first_child.load(std::memory_order_acquire);
+  for (FrameNode* c = first; c != nullptr; c = c->next_sibling) {
     if (c->name == name) return c;
   }
   auto* node = new FrameNode();
   node->name = name;
   node->parent = parent;
-  FrameNode* head = parent->first_child.load(std::memory_order_acquire);
-  do {
+  FrameNode* scanned = first;
+  FrameNode* head = first;
+  for (;;) {
     node->next_sibling = head;
-  } while (!parent->first_child.compare_exchange_weak(
-      head, node, std::memory_order_release, std::memory_order_acquire));
-  return node;
+    if (parent->first_child.compare_exchange_weak(
+            head, node, std::memory_order_release, std::memory_order_acquire)) {
+      return node;
+    }
+    // CAS failure reloaded `head`; rescan only what was published since.
+    for (FrameNode* c = head; c != scanned; c = c->next_sibling) {
+      if (c->name == name) {
+        delete node;  // never published: no other thread can see it
+        return c;
+      }
+    }
+    scanned = head;
+  }
 }
 
 double Profiler::duration_ms() const {
@@ -346,7 +361,7 @@ std::string Profiler::collapsed_alloc() const {
 }
 
 common::Json Profiler::to_json() const {
-  // Merge nodes by path first (duplicate literals / insert races), then
+  // Merge nodes by path first (same literal text across TUs), then
   // compute cumulative counts from the merged rows: a row's cumulative
   // value is its self value plus every row it path-prefixes.
   struct Row {

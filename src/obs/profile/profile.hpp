@@ -169,6 +169,9 @@ class Profiler {
   std::string hot_table(std::size_t n) const;
 
   /// get-or-create `name` under `parent`. Lock-free; used by ProfFrame.
+  /// Concurrent get-or-create of one `name` pointer under one parent returns
+  /// one node: a thread whose publish CAS fails rescans the newly published
+  /// siblings and adopts a match, discarding its own unpublished node.
   FrameNode* descend(FrameNode* parent, const char* name);
   FrameNode* root_mutable() { return &root_; }
   void note_unattributed(std::size_t size) noexcept {

@@ -375,3 +375,39 @@ TEST(Profile, ThreadPoolWorkUnderProfilerAttributesToPoolThreads) {
   EXPECT_EQ(task->enters.load(), 4u);
   EXPECT_GE(task->alloc_bytes.load(), 4u * 2048u);
 }
+
+TEST(Profile, ConcurrentFirstEntryIntoOnePathYieldsOneNode) {
+  // Racing first entries into one call path must converge on one node; a
+  // duplicate sibling would split the frame's counts across two nodes.
+  static const char* const kName = "test.race";
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 300;
+  for (int round = 0; round < kRounds; ++round) {
+    Profiler prof(fast_opts());
+    std::atomic<int> ready{0};
+    std::atomic<bool> go{false};
+    std::vector<obs::FrameNode*> got(kThreads, nullptr);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        got[t] = prof.descend(prof.root_mutable(), kName);
+      });
+    }
+    while (ready.load() < kThreads) std::this_thread::yield();
+    go.store(true, std::memory_order_release);
+    for (auto& th : threads) th.join();
+    prof.stop();
+
+    for (int t = 1; t < kThreads; ++t) {
+      ASSERT_EQ(got[t], got[0]) << "round " << round << " thread " << t;
+    }
+    int named = 0;
+    for (const obs::FrameNode* c = prof.root()->first_child.load(); c;
+         c = c->next_sibling) {
+      if (c->name == kName) ++named;
+    }
+    ASSERT_EQ(named, 1) << "round " << round;
+  }
+}
